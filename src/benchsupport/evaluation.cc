@@ -92,7 +92,9 @@ EvaluationDriver::EvaluationDriver(const Graph& g,
     MethodEvaluation m;
     m.name = "HC2L";
     m.build_seconds = hc2l_->Stats().build_seconds;
-    m.index_bytes = hc2l_->LabelSizeBytes();
+    // Unpadded label bytes, comparable with the baselines' figures (the
+    // padded resident arena is LabelSizeBytes()).
+    m.index_bytes = hc2l_->Stats().label_bytes;
     m.lca_bytes = hc2l_->LcaStorageBytes();
     const Hc2lIndex* index = hc2l_.get();
     m.query = [index](Vertex s, Vertex t) { return index->Query(s, t); };

@@ -1,8 +1,9 @@
 #ifndef HC2L_COMMON_SECTION_FILE_H_
 #define HC2L_COMMON_SECTION_FILE_H_
 
-/// The sectioned container shared by the V4 index formats (HC2L0004 /
-/// HC2D0004). Layout, after the 8-byte magic:
+/// The sectioned container of the index formats (HC2L0004 / HC2D0004) and
+/// the one reader and writer both index flavours serialize through. Layout,
+/// after the 8-byte magic:
 ///
 ///   u64 section_count
 ///   section_count x { u64 id, u64 offset, u64 bytes }   // offsets are
@@ -19,19 +20,23 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <vector>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
 
 #include "common/binary_io.h"
 #include "common/label_arena.h"
+#include "common/mmap_file.h"
+#include "hc2l/status.h"
 
 namespace hc2l::io {
 
-/// Section ids of the V4 index formats. Meta is the legacy body stream with
-/// label tables elided down to their sizes; the arena sections are the raw
-/// padded uint32 buffers; the offsets sections are the raw offset tables
-/// (base | level_start | level_len), one per direction — the hint store of
-/// a direction shares its label store's tables, which the formats exploit
-/// by storing them once.
+/// Section ids. Meta holds the flavour's own metadata followed by each
+/// direction's table and arena sizes; the offsets sections hold a
+/// direction's raw offset tables (base | level_start | level_len), shared by
+/// its label and hint stores; the arena sections are the raw padded uint32
+/// buffers.
 inline constexpr uint64_t kSectionMeta = 1;
 inline constexpr uint64_t kSectionLabelArena = 2;      // undirected / out
 inline constexpr uint64_t kSectionInLabelArena = 3;    // directed only
@@ -40,201 +45,59 @@ inline constexpr uint64_t kSectionInHintArena = 5;     // directed only
 inline constexpr uint64_t kSectionLabelOffsets = 6;    // undirected / out
 inline constexpr uint64_t kSectionInLabelOffsets = 7;  // directed only
 
-/// Hard cap on table entries; the formats define seven. Anything claiming
-/// more is corrupt, rejected before the count drives an allocation.
-inline constexpr uint64_t kMaxSections = 64;
-
-struct SectionEntry {
-  uint64_t id = 0;
-  uint64_t offset = 0;  // absolute file offset, 64-byte aligned
-  uint64_t bytes = 0;
+/// The sections of one label direction: its offsets section, its label
+/// arena and its hint arena. Hint arenas are optional — a file carries one
+/// for every direction or for none.
+struct DirectionSections {
+  uint64_t offsets;
+  uint64_t labels;
+  uint64_t hints;
 };
 
-/// Streams a sectioned file: Start writes the magic and a zeroed table,
-/// Begin/End bracket each payload (Begin pads to the next 64-byte offset),
-/// Finish seeks back and writes the real table. Every method returns false
-/// on I/O failure; callers bail out and report the save as failed.
-class SectionWriter {
- public:
-  explicit SectionWriter(std::FILE* f) : f_(f) {}
+inline constexpr DirectionSections kUndirectedSections[] = {
+    {kSectionLabelOffsets, kSectionLabelArena, kSectionHintArena}};
+inline constexpr DirectionSections kDirectedSections[] = {
+    {kSectionLabelOffsets, kSectionLabelArena, kSectionHintArena},
+    {kSectionInLabelOffsets, kSectionInLabelArena, kSectionInHintArena}};
 
-  bool Start(uint64_t magic, size_t section_count) {
-    sections_.resize(section_count);
-    if (!WriteValue(f_, magic)) return false;
-    const uint64_t count = section_count;
-    if (!WriteValue(f_, count)) return false;
-    const long table = std::ftell(f_);
-    if (table < 0) return false;
-    table_pos_ = table;
-    // Placeholder table; Finish overwrites it with the recorded entries.
-    for (const SectionEntry& entry : sections_) {
-      if (!WritePod(f_, &entry, sizeof(entry))) return false;
-    }
-    return PadTo64();
-  }
-
-  /// Starts section `index` (into the Start count) with the given id.
-  bool Begin(size_t index, uint64_t id) {
-    if (!PadTo64()) return false;
-    const long pos = std::ftell(f_);
-    if (pos < 0) return false;
-    sections_[index].id = id;
-    sections_[index].offset = static_cast<uint64_t>(pos);
-    return true;
-  }
-
-  bool End(size_t index) {
-    const long pos = std::ftell(f_);
-    if (pos < 0) return false;
-    sections_[index].bytes =
-        static_cast<uint64_t>(pos) - sections_[index].offset;
-    return true;
-  }
-
-  bool Finish() {
-    const long end = std::ftell(f_);
-    if (end < 0) return false;
-    if (std::fseek(f_, table_pos_, SEEK_SET) != 0) return false;
-    for (const SectionEntry& entry : sections_) {
-      if (!WritePod(f_, &entry, sizeof(entry))) return false;
-    }
-    return std::fseek(f_, end, SEEK_SET) == 0;
-  }
-
- private:
-  bool PadTo64() {
-    const long pos = std::ftell(f_);
-    if (pos < 0) return false;
-    static constexpr char kZeros[64] = {};
-    const size_t pad = (64 - static_cast<size_t>(pos) % 64) % 64;
-    return pad == 0 || WritePod(f_, kZeros, pad);
-  }
-
-  std::FILE* f_;
-  long table_pos_ = 0;
-  std::vector<SectionEntry> sections_;
+/// One index flavour's sectioned format.
+struct SectionedFormat {
+  uint64_t magic;
+  const char* name;  // for error messages, e.g. "HC2L index file"
+  std::span<const DirectionSections> directions;
 };
 
-/// Reads and validates the section table through the bounded reader (which
-/// is positioned just after the magic). `file_size` is the real on-disk
-/// size; every entry must satisfy: 64-aligned offset, offset + bytes within
-/// the file, no duplicate ids. Returns false on any violation.
-inline bool ReadSectionTable(Reader* r, uint64_t file_size,
-                             std::vector<SectionEntry>* sections) {
-  uint64_t count = 0;
-  if (!ReadValue(r, &count)) return false;
-  if (count == 0 || count > kMaxSections) return false;
-  if (!r->CanHold(count, sizeof(SectionEntry))) return false;
-  sections->resize(count);
-  if (!r->Read(sections->data(), count * sizeof(SectionEntry))) return false;
-  for (size_t i = 0; i < sections->size(); ++i) {
-    const SectionEntry& s = (*sections)[i];
-    if (s.offset % 64 != 0) return false;
-    if (s.offset > file_size || s.bytes > file_size - s.offset) return false;
-    for (size_t j = 0; j < i; ++j) {
-      if ((*sections)[j].id == s.id) return false;
-    }
-  }
-  return true;
-}
+/// Writes a whole index to `path`: the meta section (`write_body`, then each
+/// direction's table and arena sizes), each direction's offsets section,
+/// each label arena and — unless the index is hint-less, its hint stores
+/// empty — each hint arena. labels[d] and hints[d] belong to
+/// format.directions[d]; a hint store must mirror its label store's shape,
+/// since the file stores the offset tables once per direction. Errors:
+/// kUnavailable.
+Status WriteSectionedIndex(const std::string& path,
+                           const SectionedFormat& format,
+                           std::span<const LabelStore* const> labels,
+                           std::span<const LabelStore* const> hints,
+                           const std::function<bool(std::FILE*)>& write_body);
 
-/// The entry for `id`, or nullptr when absent.
-inline const SectionEntry* FindSection(
-    const std::vector<SectionEntry>& sections, uint64_t id) {
-  for (const SectionEntry& s : sections) {
-    if (s.id == id) return &s;
-  }
-  return nullptr;
-}
-
-/// V4 metadata form of a label store: just the table and arena sizes. The
-/// offset tables live in their own mapped section (WriteLabelStoreOffsets)
-/// and the arena bytes in theirs. One counts record and one offsets section
-/// cover a label/hint pair — the hint store mirrors the label store's shape
-/// exactly (Route indexes both with the same offsets), so its arena has the
-/// same entry count and its tables are the same bytes.
-struct LabelStoreCounts {
-  uint64_t base_count = 0;     // base.size() == core vertices + 1
-  uint64_t array_count = 0;    // level_start.size() == level_len.size()
-  uint64_t arena_entries = 0;  // padded entries of each arena
-};
-
-inline bool WriteLabelStoreCounts(std::FILE* f, const LabelStore& labels) {
-  const LabelStoreCounts c = {labels.base.size(), labels.level_start.size(),
-                              labels.arena.size()};
-  return WriteValue(f, c.base_count) && WriteValue(f, c.array_count) &&
-         WriteValue(f, c.arena_entries);
-}
-
-inline bool ReadLabelStoreCounts(Reader* r, LabelStoreCounts* c) {
-  if (!ReadValue(r, &c->base_count) || !ReadValue(r, &c->array_count) ||
-      !ReadValue(r, &c->arena_entries)) {
-    return false;
-  }
-  return c->base_count >= 1 &&
-         c->arena_entries == LabelArena::PaddedCapacity(c->arena_entries);
-}
-
-/// True when the offsets section holds exactly base | level_start |
-/// level_len for these table sizes. The per-count divisions run first so
-/// the sum cannot overflow on forged counts.
-inline bool OffsetsSectionMatches(const SectionEntry& s,
-                                  const LabelStoreCounts& c) {
-  if (c.base_count > s.bytes / sizeof(uint32_t) ||
-      c.array_count > s.bytes / (2 * sizeof(uint32_t))) {
-    return false;
-  }
-  return (c.base_count + 2 * c.array_count) * sizeof(uint32_t) == s.bytes;
-}
-
-/// The offsets section payload: the three tables back to back, no length
-/// prefixes (the counts live in the meta section).
-inline bool WriteLabelStoreOffsets(std::FILE* f, const LabelStore& labels) {
-  const auto raw = [&](const U32Array& a) {
-    return a.size() == 0 || WritePod(f, a.data(), a.size() * sizeof(uint32_t));
-  };
-  return raw(labels.base) && raw(labels.level_start) && raw(labels.level_len);
-}
-
-/// Attaches zero-copy views into a mapped offsets section to a label store
-/// and (when non-null) its hint store — the same bytes, viewed twice, which
-/// makes the shapes match by construction. `section` must point at
-/// OffsetsSectionMatches-validated payload inside a live mapping.
-inline void AttachOffsetsView(const uint8_t* section,
-                              const LabelStoreCounts& c, LabelStore* labels,
-                              LabelStore* hints) {
-  const uint32_t* p = reinterpret_cast<const uint32_t*>(section);
-  for (LabelStore* store : {labels, hints}) {
-    if (store == nullptr) continue;
-    store->base.ResetView(p, c.base_count);
-    store->level_start.ResetView(p + c.base_count, c.array_count);
-    store->level_len.ResetView(p + c.base_count + c.array_count,
-                               c.array_count);
-  }
-}
-
-/// Heap-mode counterpart: reads owned copies of the tables from a Reader
-/// positioned at the offsets section (and bounded to it); the hint store,
-/// when non-null, deep-copies the label store's.
-inline bool ReadLabelStoreOffsets(Reader* r, const LabelStoreCounts& c,
-                                  LabelStore* labels, LabelStore* hints) {
-  const auto raw = [&](U32Array* a, uint64_t count) {
-    if (!r->CanHold(count, sizeof(uint32_t))) return false;
-    a->ResizeOwned(count);
-    return count == 0 || r->Read(a->MutableData(), count * sizeof(uint32_t));
-  };
-  if (!raw(&labels->base, c.base_count) ||
-      !raw(&labels->level_start, c.array_count) ||
-      !raw(&labels->level_len, c.array_count)) {
-    return false;
-  }
-  if (hints != nullptr) {
-    hints->base = labels->base;
-    hints->level_start = labels->level_start;
-    hints->level_len = labels->level_len;
-  }
-  return true;
-}
+/// Reads an index written by WriteSectionedIndex into the flavour's stores.
+/// `parse_body` reads the flavour's metadata from a reader bounded to the
+/// meta section; `validate_structure` runs once the offset tables are
+/// attached and shape-checked, before any arena byte is read. The hint
+/// stores stay empty when the file has no hint sections. With `use_mmap`
+/// the file is mapped into *mapping and the offset tables and arenas are
+/// views into it (no copy, no arena page touched); otherwise they are read
+/// into owned buffers and every hint entry is range-checked (O(entries) —
+/// a mapped open leaves that to the route walk's per-step checks).
+/// Errors: kNotFound (cannot open), kInvalidArgument (wrong magic),
+/// kDataLoss (truncated or corrupt).
+Status ReadSectionedIndex(const std::string& path,
+                          const SectionedFormat& format, bool use_mmap,
+                          std::span<LabelStore* const> labels,
+                          std::span<LabelStore* const> hints,
+                          const std::function<bool(Reader*)>& parse_body,
+                          const std::function<bool()>& validate_structure,
+                          std::shared_ptr<MappedFile>* mapping);
 
 }  // namespace hc2l::io
 

@@ -138,6 +138,9 @@ TEST(EvaluationDriverTest, BuildsAllMethodsAndMeasures) {
     EXPECT_GT(m.avg_query_micros, 0.0) << m.name;
     EXPECT_GT(m.avg_hub_size, 0.0) << m.name;
   }
+  // Table 2/4 compare unpadded label sizes: HC2L reports its logical
+  // label bytes, not the cache-line-padded resident arena.
+  EXPECT_EQ(e.methods[0].index_bytes, e.hc2l->Stats().label_bytes);
   // The one-to-many fast path is measured for HC2L only.
   EXPECT_GT(e.methods[0].avg_batch_target_micros, 0.0);
   EXPECT_EQ(e.methods[1].avg_batch_target_micros, 0.0);

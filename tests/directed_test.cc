@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "core/hc2l.h"
 #include "core/index_format.h"
 #include "graph/road_network_generator.h"
 #include "hierarchy/contraction.h"
@@ -383,42 +384,64 @@ uint64_t FileMagic(const std::string& path) {
   return magic;
 }
 
-TEST(DirectedHc2l, SaveWritesFormatPerContractionAndBothLoad) {
+// Every index shape writes the one sectioned format and round-trips
+// through it: undirected/directed x with/without route hints x
+// contracted/uncontracted, each reloaded with kHeap and kMmap.
+TEST(IndexFormat, EveryShapeRoundTripsThroughV4) {
   RoadNetworkOptions opt;
   opt.rows = 8;
   opt.cols = 8;
   opt.seed = 31;
-  const Digraph g = GenerateDirectedRoadNetwork(opt, 0.25);
+  const Graph graph = GenerateRoadNetwork(opt);
+  const Digraph digraph = GenerateDirectedRoadNetwork(opt, 0.25);
+  const std::string path = ::testing::TempDir() + "/hc2l_fmt_table.idx";
+
+  // Saves `index`, then reloads it in both modes through `load`.
+  const auto round_trip = [&](const auto& index, uint64_t magic, bool hints,
+                              const auto& load) {
+    ASSERT_TRUE(index.Save(path).ok());
+    EXPECT_EQ(FileMagic(path), magic);
+    for (const bool use_mmap : {false, true}) {
+      SCOPED_TRACE(use_mmap ? "kMmap" : "kHeap");
+      const auto loaded = load(path, use_mmap);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->HasRouteHints(), hints);
+      EXPECT_EQ(loaded->MappedBytes() > 0, use_mmap);
+      ASSERT_EQ(loaded->NumVertices(), index.NumVertices());
+      for (Vertex s = 0; s < index.NumVertices(); ++s) {
+        for (Vertex t = 0; t < index.NumVertices(); ++t) {
+          ASSERT_EQ(loaded->Query(s, t), index.Query(s, t))
+              << "s=" << s << " t=" << t;
+        }
+      }
+    }
+    std::remove(path.c_str());
+  };
+
   for (const bool hints : {true, false}) {
     for (const bool contract : {true, false}) {
       SCOPED_TRACE(std::string(hints ? "hinted" : "hint-less") + " " +
                    (contract ? "contracted" : "uncontracted"));
-      DirectedHc2lOptions options;
-      options.contract_degree_one = contract;
-      options.route_hints = hints;
-      const DirectedHc2lIndex index = DirectedHc2lIndex::Build(g, options);
-      const std::string path = ::testing::TempDir() + "/hc2l_dir_fmt.idx";
-      ASSERT_TRUE(index.Save(path).ok());
-      // Hint-carrying indexes (the default) write the sectioned, mmap-able
-      // HC2D0004. Hint-less ones keep the legacy layouts, and uncontracted
-      // hint-less indexes keep HC2D0001 — the backward-compat guarantee that
-      // files from pre-contraction builds stay loadable is pinned by loading
-      // exactly that layout here.
-      EXPECT_EQ(FileMagic(path),
-                hints ? kDirectedIndexMagicV4
-                      : (contract ? kDirectedIndexMagicV2
-                                  : kDirectedIndexMagic));
-      const auto loaded = DirectedHc2lIndex::Load(path);
-      std::remove(path.c_str());
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(loaded->NumVertices(), index.NumVertices());
-      EXPECT_EQ(loaded->NumCoreVertices(), index.NumCoreVertices());
-      EXPECT_EQ(loaded->HasRouteHints(), hints);
-      for (Vertex s = 0; s < g.NumVertices(); s += 7) {
-        for (Vertex t = 0; t < g.NumVertices(); t += 5) {
-          ASSERT_EQ(loaded->Query(s, t), index.Query(s, t))
-              << "s=" << s << " t=" << t;
-        }
+      {
+        SCOPED_TRACE("undirected");
+        Hc2lOptions options;
+        options.contract_degree_one = contract;
+        options.route_hints = hints;
+        round_trip(Hc2lIndex::Build(graph, options), kHc2lIndexMagicV4, hints,
+                   [](const std::string& p, bool use_mmap) {
+                     return Hc2lIndex::Load(p, use_mmap);
+                   });
+      }
+      {
+        SCOPED_TRACE("directed");
+        DirectedHc2lOptions options;
+        options.contract_degree_one = contract;
+        options.route_hints = hints;
+        round_trip(DirectedHc2lIndex::Build(digraph, options),
+                   kDirectedIndexMagicV4, hints,
+                   [](const std::string& p, bool use_mmap) {
+                     return DirectedHc2lIndex::Load(p, use_mmap);
+                   });
       }
     }
   }

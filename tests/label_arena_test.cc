@@ -78,28 +78,32 @@ TEST(LabelStore, ValidateAcceptsBuiltStoresAndRejectsCorruptTables) {
     store.BuildFrom(&data, &lens);
     return store;
   };
-  EXPECT_TRUE(io::ValidateLabelStore(make_store()));
+  const LabelStore built = make_store();
+  EXPECT_TRUE(io::ValidateLabelShape(built, built.arena.size()));
+  // The same tables against an arena one cache line too short.
+  EXPECT_FALSE(io::ValidateLabelShape(
+      built, built.arena.size() - LabelArena::kAlignEntries));
 
   {
     LabelStore s = make_store();  // array pushed past the arena
     s.level_len.Set(s.level_len.size() - 1,
                     static_cast<uint32_t>(s.arena.size()));
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // unaligned start
     s.level_start.Set(1, s.level_start[1] + 1);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // base not a partition of the array list
     s.base.Set(s.base.size() - 1, s.base.back() + 3);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
     LabelStore s = make_store();  // decreasing base
     s.base.Set(1, s.base[2] + 1);
-    EXPECT_FALSE(io::ValidateLabelStore(s));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
 }
 

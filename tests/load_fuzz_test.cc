@@ -1,6 +1,6 @@
 // Corrupt-index fuzz hardening for the loaders, over every on-disk format:
-// the sectioned V4 files (HC2L0004 / HC2D0004), the legacy hint-less
-// magics (HC2L0002, HC2D0001, HC2D0002) and the HC2S0001 shard manifest.
+// the sectioned index files (HC2L0004 / HC2D0004, each with and without
+// route-hint sections) and the HC2S0001 shard manifest.
 // Router::Open on a truncated, bit-flipped, size-field-smashed or
 // plain-garbage file — in BOTH OpenMode::kHeap and OpenMode::kMmap — must
 // return a Status — never crash, never abort, and never allocate beyond
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/section_file.h"
 #include "core/index_format.h"
 #include "graph/road_network_generator.h"
 #include "hc2l/hc2l.h"
@@ -81,7 +82,8 @@ struct FormatFile {
   std::vector<char> pristine;  // the valid serialized index (or manifest)
   uint64_t num_vertices = 0;   // the true vertex count of that index
   uint64_t magic = 0;          // the expected on-disk magic
-  bool sectioned = false;      // V4: starts with a section table
+  bool sectioned = false;      // an index: starts with a section table
+  bool hints = false;          // carries route-hint sections
 };
 
 /// TempDir path unique to this PROCESS, not just this test: ctest runs each
@@ -116,9 +118,9 @@ void WriteFileBytes(const std::string& path, const char* data, size_t size) {
 }
 
 /// Builds and serializes one index per format, once for the whole suite:
-/// the V4 sectioned files (default builds carry route hints), the legacy
-/// hint-less magics, and a sharded manifest whose member shard files stay
-/// pristine in TempDir for the manifest sweeps to resolve against.
+/// the sectioned files with and without route hints, and a sharded
+/// manifest whose member shard files stay pristine in TempDir for the
+/// manifest sweeps to resolve against.
 const std::vector<FormatFile>& AllFormats() {
   static const std::vector<FormatFile>* formats = [] {
     auto* out = new std::vector<FormatFile>();
@@ -135,10 +137,10 @@ const std::vector<FormatFile>& AllFormats() {
       Result<Router> undirected = Router::Build(graph, build);
       EXPECT_TRUE(undirected.ok());
       EXPECT_TRUE(undirected->Save(path).ok());
-      out->push_back({hints ? "HC2L0004-undirected-sectioned"
-                            : "HC2L0002-undirected-hintless",
+      out->push_back({hints ? "HC2L0004-undirected"
+                            : "HC2L0004-undirected-hintless",
                       ReadFileBytes(path), undirected->NumVertices(),
-                      hints ? kHc2lIndexMagicV4 : kHc2lIndexMagic, hints});
+                      kHc2lIndexMagicV4, true, hints});
     }
 
     const Digraph digraph = GenerateDirectedRoadNetwork(opt, 0.25);
@@ -146,15 +148,11 @@ const std::vector<FormatFile>& AllFormats() {
       const char* name;
       bool contract;
       bool hints;
-      uint64_t magic;
     };
     const DirectedCase directed_cases[] = {
-        {"HC2D0004-directed-contracted-sectioned", true, true,
-         kDirectedIndexMagicV4},
-        {"HC2D0001-directed-uncontracted-hintless", false, false,
-         kDirectedIndexMagic},
-        {"HC2D0002-directed-contracted-hintless", true, false,
-         kDirectedIndexMagicV2},
+        {"HC2D0004-directed-contracted", true, true},
+        {"HC2D0004-directed-uncontracted-hintless", false, false},
+        {"HC2D0004-directed-contracted-hintless", true, false},
     };
     for (const DirectedCase& c : directed_cases) {
       BuildOptions build;
@@ -164,7 +162,7 @@ const std::vector<FormatFile>& AllFormats() {
       EXPECT_TRUE(directed.ok());
       EXPECT_TRUE(directed->Save(path).ok());
       out->push_back({c.name, ReadFileBytes(path), directed->NumVertices(),
-                      c.magic, c.hints});
+                      kDirectedIndexMagicV4, true, c.hints});
     }
     std::remove(path.c_str());
 
@@ -178,7 +176,8 @@ const std::vector<FormatFile>& AllFormats() {
     const std::string manifest = ProcessTempPath("seed.hc2s");
     EXPECT_TRUE(sharded->Save(manifest).ok());
     out->push_back({"HC2S0001-shard-manifest", ReadFileBytes(manifest),
-                    sharded->NumVertices(), kShardManifestMagic, false});
+                    sharded->NumVertices(), kShardManifestMagic, false,
+                    false});
     std::remove(manifest.c_str());  // the .0/.1/.2 shard files remain
 
     for (const FormatFile& file : *out) {
@@ -366,7 +365,7 @@ TEST_F(LoadFuzzTest, PristineFilesStillRoundTrip) {
 }
 
 TEST_F(LoadFuzzTest, ForgedSectionTablesAreRejectedBeforeMapping) {
-  // V4 files only: forge one field of one section-table entry at a time —
+  // Index files only: forge one field of one section-table entry at a time —
   // an out-of-file offset, a misaligned offset, a byte count past EOF, a
   // duplicated id, a hostile section count. Every forgery must be rejected
   // by the table validation itself, in both open modes, before any label
@@ -407,6 +406,65 @@ TEST_F(LoadFuzzTest, ForgedSectionTablesAreRejectedBeforeMapping) {
         forge("duplicate section id", entry, first_id);
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(LoadFuzzTest, HintSectionsMustMirrorTheirLabelSections) {
+  // Hint arenas are optional but all-or-none, and each must be exactly the
+  // size of its direction's label arena. A directed file keeping its
+  // out-hint section but losing its in-hint one, or a hint arena resized
+  // within the file, is corrupt — kDataLoss in both open modes.
+  const std::string path = ScratchPath();
+  for (const FormatFile& file : AllFormats()) {
+    if (!file.hints) continue;
+    SCOPED_TRACE(file.name);
+    uint64_t count = 0;
+    std::memcpy(&count, file.pristine.data() + 8, sizeof(count));
+    // Byte offset of the table entry for `id` (entries are {id, offset,
+    // bytes} triples after the magic and the count).
+    const auto entry_of = [&](uint64_t id) -> size_t {
+      for (uint64_t i = 0; i < count; ++i) {
+        const size_t entry = 16 + static_cast<size_t>(i) * 24;
+        uint64_t entry_id = 0;
+        std::memcpy(&entry_id, file.pristine.data() + entry, sizeof(entry_id));
+        if (entry_id == id) return entry;
+      }
+      ADD_FAILURE() << "no section " << id;
+      return 0;
+    };
+    const auto expect_data_loss = [&](const char* what,
+                                      const std::vector<char>& bytes) {
+      SCOPED_TRACE(what);
+      WriteFileBytes(path, bytes.data(), bytes.size());
+      for (const OpenMode mode : {OpenMode::kHeap, OpenMode::kMmap}) {
+        Result<Router> r = Router::Open(path, mode);
+        EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+      }
+    };
+
+    if (file.magic == kDirectedIndexMagicV4) {
+      // Drop the in-hint entry: move the table's last entry into its slot
+      // and shrink the count by one.
+      std::vector<char> mutated = file.pristine;
+      const size_t in_hints = entry_of(io::kSectionInHintArena);
+      const size_t last = 16 + static_cast<size_t>(count - 1) * 24;
+      std::memmove(mutated.data() + in_hints, mutated.data() + last, 24);
+      const uint64_t fewer = count - 1;
+      std::memcpy(mutated.data() + 8, &fewer, sizeof(fewer));
+      expect_data_loss("out-hint section without an in-hint section",
+                       mutated);
+    }
+
+    std::vector<char> mutated = file.pristine;
+    uint64_t hint_bytes = 0;
+    const size_t hints = entry_of(io::kSectionHintArena);
+    std::memcpy(&hint_bytes, mutated.data() + hints + 16, sizeof(hint_bytes));
+    ASSERT_GE(hint_bytes, 64u);
+    hint_bytes -= 64;
+    std::memcpy(mutated.data() + hints + 16, &hint_bytes, sizeof(hint_bytes));
+    expect_data_loss("hint arena one cache line short of its label arena",
+                     mutated);
   }
   std::remove(path.c_str());
 }

@@ -554,7 +554,7 @@ TEST(RouterInfo, PopulatedForBothFlavours) {
   EXPECT_EQ(fi.num_core_vertices, fi.num_vertices);
   EXPECT_EQ(fi.num_contracted, 0u);
 
-  // An opened (HC2D0002) index reports the same core-vertex stats.
+  // An opened (HC2D0004) index reports the same core-vertex stats.
   const std::string path = ::testing::TempDir() + "/hc2l_router_info_dir.idx";
   ASSERT_TRUE(dir->Save(path).ok());
   Result<Router> opened = Router::Open(path);
