@@ -114,9 +114,9 @@ void BM_Hc2lBatchQuery(benchmark::State& state) {
 BENCHMARK(BM_Hc2lBatchQuery);
 
 /// Random label arrays for the kernel-only benches: finite values with
-/// sentinels sprinkled in, padded per the arena invariant.
+/// sentinels sprinkled in.
 std::vector<uint32_t> KernelArray(size_t len, uint64_t seed) {
-  std::vector<uint32_t> v(simd::PaddedLength(len), UINT32_MAX);
+  std::vector<uint32_t> v(len);
   Rng rng(seed);
   for (size_t i = 0; i < len; ++i) {
     v[i] = rng.Below(16) == 0 ? UINT32_MAX
@@ -136,7 +136,7 @@ void BM_MinPlusKernel(benchmark::State& state) {
     const uint32_t* pb = b.data();
     benchmark::DoNotOptimize(pa);
     benchmark::DoNotOptimize(pb);
-    benchmark::DoNotOptimize(simd::MinPlusPadded(pa, pb, len));
+    benchmark::DoNotOptimize(simd::MinPlus(pa, pb, len));
   }
 }
 BENCHMARK(BM_MinPlusKernel)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
@@ -425,7 +425,7 @@ void WriteBenchQueryJson(const char* path) {
   };
   const double ns_kernel = time_kernel(
       [](const uint32_t* a, const uint32_t* b, size_t len) {
-        return simd::MinPlusPadded(a, b, len);
+        return simd::MinPlus(a, b, len);
       });
   const double ns_kernel_scalar = time_kernel(
       [](const uint32_t* a, const uint32_t* b, size_t len) {

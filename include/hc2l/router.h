@@ -113,8 +113,8 @@ struct IndexInfo {
   /// Logical label size: distance data + per-level offset tables — the
   /// paper-comparable quantity.
   uint64_t label_logical_bytes = 0;
-  /// Resident label storage: cache-aligned, sentinel-padded arena(s) +
-  /// offset tables (what the process actually holds in memory).
+  /// Resident label storage: packed arena(s), each rounded up to a cache
+  /// line, + offset tables (what the process actually holds in memory).
   uint64_t label_resident_bytes = 0;
   /// Bytes for O(1) LCA lookups (packed per-vertex tree codes).
   uint64_t lca_bytes = 0;

@@ -120,13 +120,15 @@ bool ReadVector(Reader* r, std::vector<T>* v) {
 }
 
 /// Structural invariants the query paths index by without bounds checks:
-/// base is a non-decreasing 0-led partition of the array list, and every
-/// (start, len) array lies inside an arena of `arena_size` entries.
-/// Rejecting violations at load time turns a corrupt offset table into a
-/// clean load failure instead of out-of-bounds reads at query time. Takes
-/// the arena size separately so the loader can validate the offset tables
-/// against the section table's arena size before any arena bytes are read
-/// (or mapped pages touched).
+/// base is a non-decreasing 0-led partition of the array list, and the
+/// (start, len) arrays lie inside an arena of `arena_size` entries, in
+/// order and disjoint: start[i] + len[i] <= start[i + 1]. BuildFrom packs
+/// them with equality; gaps are allowed, so files whose arrays were padded
+/// to cache lines still load. Rejecting violations at load time turns a
+/// corrupt offset table into a clean load failure instead of out-of-bounds
+/// reads at query time. Takes the arena size separately so the loader can
+/// validate the offset tables against the section table's arena size
+/// before any arena bytes are read (or mapped pages touched).
 inline bool ValidateLabelShape(const LabelStore& labels, size_t arena_size) {
   if (labels.base.empty() || labels.base.front() != 0) return false;
   if (labels.level_start.size() != labels.level_len.size()) return false;
@@ -134,16 +136,14 @@ inline bool ValidateLabelShape(const LabelStore& labels, size_t arena_size) {
     if (labels.base[v] > labels.base[v + 1]) return false;
   }
   if (labels.base.back() != labels.level_start.size()) return false;
+  size_t end = 0;  // one past the previous array
   for (size_t i = 0; i < labels.level_start.size(); ++i) {
     const size_t start = labels.level_start[i];
-    // BuildFrom's layout: every array starts on a cache-line boundary and
-    // owns its padded capacity, which is also what the vector kernel may
-    // read past the true length.
-    if (start % LabelArena::kAlignEntries != 0) return false;
-    if (start > arena_size ||
-        LabelArena::PaddedCapacity(labels.level_len[i]) > arena_size - start) {
+    if (start < end || start > arena_size ||
+        labels.level_len[i] > arena_size - start) {
       return false;
     }
+    end = start + labels.level_len[i];
   }
   return true;
 }

@@ -5,12 +5,8 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace hc2l {
-
-static_assert(LabelArena::kAlignEntries >= simd::kPadLanes,
-              "arena padding must cover the widest vector the kernel reads");
 
 LabelArena::~LabelArena() {
   if (owned_) std::free(data_);
@@ -59,45 +55,44 @@ void LabelStore::BuildFrom(std::vector<std::vector<uint32_t>>* data,
   HC2L_CHECK_EQ(n, lens->size());
 
   size_t num_arrays = 0;
-  size_t padded_total = 0;
+  size_t total = 0;
   for (size_t v = 0; v < n; ++v) {
     num_arrays += (*lens)[v].size();
-    for (const uint32_t len : (*lens)[v]) {
-      padded_total += LabelArena::PaddedCapacity(len);
-    }
+    for (const uint32_t len : (*lens)[v]) total += len;
   }
-  // Offsets are 32-bit; padding inflates storage by at most kAlignEntries-1
-  // entries per array, so this only trips far beyond the paper's scales.
-  HC2L_CHECK_LE(padded_total, std::numeric_limits<uint32_t>::max());
+  // Offsets are 32-bit; this only trips far beyond the paper's scales.
+  HC2L_CHECK_LE(total, std::numeric_limits<uint32_t>::max());
 
   base.assign(n + 1, 0);
   level_start.clear();
   level_len.clear();
   level_start.reserve(num_arrays);
   level_len.reserve(num_arrays);
-  arena.Reset(padded_total);
+  arena.Reset(total);
 
   size_t pos = 0;
   for (size_t v = 0; v < n; ++v) {
     base.Set(v, static_cast<uint32_t>(level_start.size()));
-    size_t off = 0;
+    const std::vector<uint32_t>& entries = (*data)[v];
+    const size_t first = pos;
     for (const uint32_t len : (*lens)[v]) {
       level_start.push_back(static_cast<uint32_t>(pos));
       level_len.push_back(len);
-      if (len > 0) {
-        std::memcpy(arena.data() + pos, (*data)[v].data() + off,
-                    len * sizeof(uint32_t));
-      }
-      off += len;
-      pos += LabelArena::PaddedCapacity(len);
+      pos += len;
     }
-    HC2L_CHECK_EQ(off, (*data)[v].size());
+    // The vertex's arrays are contiguous in its accumulator and in the
+    // arena alike, so one copy moves them all.
+    HC2L_CHECK_EQ(pos - first, entries.size());
+    if (!entries.empty()) {
+      std::memcpy(arena.data() + first, entries.data(),
+                  entries.size() * sizeof(uint32_t));
+    }
     // Free the accumulators eagerly to halve peak memory.
     (*data)[v] = {};
     (*lens)[v] = {};
   }
   base.Set(n, static_cast<uint32_t>(level_start.size()));
-  HC2L_CHECK_EQ(pos, padded_total);
+  HC2L_CHECK_EQ(pos, total);
 }
 
 }  // namespace hc2l

@@ -1,20 +1,17 @@
 #ifndef HC2L_COMMON_LABEL_ARENA_H_
 #define HC2L_COMMON_LABEL_ARENA_H_
 
-/// Cache-aligned storage for HC2L distance labels.
+/// Packed storage for HC2L distance labels.
 ///
 /// LabelArena owns a 64-byte-aligned uint32 buffer pre-filled with the
-/// kUnreachableLabel sentinel (0xFFFFFFFF). LabelStore lays per-vertex,
-/// per-level distance arrays into the arena so that every array starts on a
-/// cache-line boundary and the gap up to the next boundary keeps its sentinel
-/// fill. Together these give the query kernel two invariants:
-///
-///  1. alignment — the first vector load of every level array is cache-line
-///     aligned and never splits a line;
-///  2. sentinel padding — reads past an array's true length (up to the next
-///     64-byte boundary) see UINT32_MAX, so simd::MinPlusPadded can run
-///     whole vectors with no scalar tail: padded lanes saturate and never
-///     win the min-reduction.
+/// kUnreachableLabel sentinel (0xFFFFFFFF), sized to a whole number of cache
+/// lines. LabelStore lays the per-vertex, per-level distance arrays into it
+/// back to back: array i+1 starts right where array i ends, with no padding
+/// between them. Only the arena's total is rounded up to a cache line,
+/// which keeps the start of an mmap'd arena section 64-byte aligned and the
+/// V4 `arena_entries` field a multiple of 16. The query kernel
+/// (simd::MinPlus) reads exactly [0, len) of each array, so nothing relies
+/// on alignment or on sentinel fill past an array's end.
 
 #include <algorithm>
 #include <cstddef>
@@ -24,14 +21,15 @@
 
 namespace hc2l {
 
-/// 64-byte-aligned, sentinel-filled uint32 buffer. Move-only.
+/// 64-byte-aligned, sentinel-filled uint32 buffer whose size is a whole
+/// number of cache lines. Move-only.
 class LabelArena {
  public:
   static constexpr size_t kAlignBytes = 64;
   static constexpr size_t kAlignEntries = kAlignBytes / sizeof(uint32_t);
 
-  /// Capacity an array of `len` entries occupies: its length rounded up to
-  /// the next cache-line boundary.
+  /// `len` entries rounded up to the next cache-line boundary: the size of
+  /// an arena holding `len` packed entries.
   static constexpr size_t PaddedCapacity(size_t len) {
     return (len + kAlignEntries - 1) & ~(kAlignEntries - 1);
   }
@@ -43,8 +41,8 @@ class LabelArena {
   LabelArena(const LabelArena&) = delete;
   LabelArena& operator=(const LabelArena&) = delete;
 
-  /// Allocates (at least) `entries` sentinel-filled entries, rounded up to a
-  /// whole number of cache lines. Discards previous contents.
+  /// Allocates `entries` sentinel-filled entries, rounded up to a whole
+  /// number of cache lines. Discards previous contents.
   void Reset(size_t entries);
 
   /// Points the arena at externally owned storage (an mmap'd index file)
@@ -162,10 +160,13 @@ class U32Array {
 /// Flattened label storage shared by the undirected and directed indexes:
 /// array i of vertex v (i counted from base[v]) spans
 ///   arena[level_start[base[v] + i] .. +level_len[base[v] + i]).
+/// BuildFrom packs the arrays in order, so level_start[j + 1] ==
+/// level_start[j] + level_len[j]; a loaded file need only keep them in
+/// order and disjoint (io::ValidateLabelShape).
 struct LabelStore {
   LabelArena arena;
-  U32Array level_start;  // aligned arena offset of each array
-  U32Array level_len;    // true (unpadded) length of each array
+  U32Array level_start;  // arena offset of each array
+  U32Array level_len;    // length of each array
   U32Array base;         // size n+1; arrays of v: [base[v], base[v+1])
 
   /// Lays the per-vertex accumulators out into the arena (consuming them
@@ -180,7 +181,8 @@ struct LabelStore {
            sizeof(uint32_t);
   }
 
-  /// Actual resident bytes: padded arena plus offset tables.
+  /// Actual resident bytes: the arena (entries rounded up to a cache line)
+  /// plus offset tables.
   size_t ResidentBytes() const { return arena.SizeBytes() + MetadataBytes(); }
 };
 

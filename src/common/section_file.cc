@@ -120,7 +120,7 @@ const SectionEntry* FindSection(const std::vector<SectionEntry>& sections,
 struct LabelStoreCounts {
   uint64_t base_count = 0;     // base.size() == core vertices + 1
   uint64_t array_count = 0;    // level_start.size() == level_len.size()
-  uint64_t arena_entries = 0;  // padded entries of each arena
+  uint64_t arena_entries = 0;  // entries of each arena, cache-line rounded
 };
 
 bool WriteLabelStoreCounts(std::FILE* f, const LabelStore& labels) {

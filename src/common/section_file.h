@@ -35,8 +35,8 @@ namespace hc2l::io {
 /// Section ids. Meta holds the flavour's own metadata followed by each
 /// direction's table and arena sizes; the offsets sections hold a
 /// direction's raw offset tables (base | level_start | level_len), shared by
-/// its label and hint stores; the arena sections are the raw padded uint32
-/// buffers.
+/// its label and hint stores; the arena sections are the raw uint32
+/// buffers, each a whole number of cache lines.
 inline constexpr uint64_t kSectionMeta = 1;
 inline constexpr uint64_t kSectionLabelArena = 2;      // undirected / out
 inline constexpr uint64_t kSectionInLabelArena = 3;    // directed only

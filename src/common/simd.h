@@ -13,6 +13,14 @@
 /// it, so "unreachable" can never masquerade as a short distance. The caller
 /// maps a result >= UINT32_MAX back to kInfDist.
 ///
+/// Every path reads exactly a[0, len) and b[0, len), never a lane past the
+/// end, so label arrays can be packed back to back in their arena with no
+/// padding. An array of at least one vector is covered by the vector that
+/// ends at len plus whole vectors from 0, which overlap it when len is not
+/// a multiple of the width (min is idempotent, so no tail loop or branch);
+/// a shorter array takes an AVX2 masked load or, on the 4-lane paths, the
+/// scalar loop.
+///
 /// Dispatch is at compile time: AVX2 > SSE2 (with an SSE4.1 refinement) >
 /// NEON > scalar. All paths are bit-identical to MinPlusScalar — the scalar
 /// reference stays available on every platform for differential testing.
@@ -50,16 +58,6 @@ inline constexpr const char* kKernelName = "neon";
 #else
 inline constexpr const char* kKernelName = "scalar";
 #endif
-
-/// Widest vector width (in uint32 lanes) any compiled-in path uses. Label
-/// arrays padded to a multiple of this (with UINT32_MAX fill) may be read by
-/// MinPlusPadded without a scalar tail loop.
-inline constexpr size_t kPadLanes = 8;
-
-/// Rounds len up to the vector-lane multiple MinPlusPadded will read.
-constexpr size_t PaddedLength(size_t len) {
-  return (len + kPadLanes - 1) & ~(kPadLanes - 1);
-}
 
 /// Hints the prefetcher at the cache line holding p (read, high locality).
 inline void PrefetchRead(const void* p) {
@@ -117,40 +115,37 @@ inline __m256i SatAddLanes(__m256i a, __m256i b) {
   return _mm256_add_epi32(_mm256_min_epu32(a, not_b), b);
 }
 
-}  // namespace internal
-
-/// Vector kernel, safe for arbitrary arrays (scalar tail).
-inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
-  __m256i best = _mm256_set1_epi32(-1);
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    best = _mm256_min_epu32(best, internal::SatAddLanes(va, vb));
-  }
-  uint32_t out = internal::HorizontalMin(best);
-  for (; i < len; ++i) {
-    const uint32_t sum = SatAdd32(a[i], b[i]);
-    if (sum < out) out = sum;
-  }
-  return out;
+/// Saturating sums of the 8 lanes starting at entry i.
+inline __m256i SumAt(const uint32_t* a, const uint32_t* b, size_t i) {
+  return SatAddLanes(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
 }
 
-/// Tail-free variant. Requires both arrays to be readable and filled with
-/// UINT32_MAX in [len, PaddedLength(len)) — the label-arena invariant.
-/// Sentinel lanes saturate to UINT32_MAX and never win the min.
-inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
-                              size_t len) {
-  const size_t padded = PaddedLength(len);
-  __m256i best = _mm256_set1_epi32(-1);
-  for (size_t i = 0; i < padded; i += 8) {
+}  // namespace internal
+
+inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
+  if (len < 8) {
+    if (len == 0) return UINT32_MAX;
+    // Lanes [len, 8) are masked off: not read (no fault even at the end of
+    // a page) and loaded as 0. OR-ing the inverted mask makes their sums
+    // the sentinel, so they never win the min.
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(len)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+        _mm256_maskload_epi32(reinterpret_cast<const int*>(a), mask);
     const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    best = _mm256_min_epu32(best, internal::SatAddLanes(va, vb));
+        _mm256_maskload_epi32(reinterpret_cast<const int*>(b), mask);
+    return internal::HorizontalMin(
+        _mm256_or_si256(internal::SatAddLanes(va, vb),
+                        _mm256_xor_si256(mask, _mm256_set1_epi32(-1))));
+  }
+  // Start from the vector that ends exactly at len; the whole vectors from
+  // 0 cover the rest, overlapping it when len % 8 != 0.
+  __m256i best = internal::SumAt(a, b, len - 8);
+  for (size_t i = 0; i + 8 < len; i += 8) {
+    best = _mm256_min_epu32(best, internal::SumAt(a, b, i));
   }
   return internal::HorizontalMin(best);
 }
@@ -182,36 +177,20 @@ inline __m128i SatAddLanes(__m128i a, __m128i b) {
   return _mm_add_epi32(MinU32(a, not_b), b);
 }
 
+/// Saturating sums of the 4 lanes starting at entry i.
+inline __m128i SumAt(const uint32_t* a, const uint32_t* b, size_t i) {
+  return SatAddLanes(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)),
+                     _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
+}
+
 }  // namespace internal
 
 inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
-  __m128i best = _mm_set1_epi32(-1);
-  size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    best = internal::MinU32(best, internal::SatAddLanes(va, vb));
-  }
-  uint32_t out = internal::HorizontalMin(best);
-  for (; i < len; ++i) {
-    const uint32_t sum = SatAdd32(a[i], b[i]);
-    if (sum < out) out = sum;
-  }
-  return out;
-}
-
-inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
-                              size_t len) {
-  const size_t padded = PaddedLength(len);
-  __m128i best = _mm_set1_epi32(-1);
-  for (size_t i = 0; i < padded; i += 4) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    best = internal::MinU32(best, internal::SatAddLanes(va, vb));
+  if (len < 4) return MinPlusScalar(a, b, len);
+  // As on AVX2: the vector ending at len, then whole vectors from 0.
+  __m128i best = internal::SumAt(a, b, len - 4);
+  for (size_t i = 0; i + 4 < len; i += 4) {
+    best = internal::MinU32(best, internal::SumAt(a, b, i));
   }
   return internal::HorizontalMin(best);
 }
@@ -219,38 +198,20 @@ inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
 #elif defined(HC2L_SIMD_NEON)
 
 inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
-  uint32x4_t best = vdupq_n_u32(UINT32_MAX);
-  size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    // vqaddq_u32 is the native unsigned saturating sum.
-    best = vminq_u32(best, vqaddq_u32(vld1q_u32(a + i), vld1q_u32(b + i)));
-  }
-  uint32_t out = vminvq_u32(best);
-  for (; i < len; ++i) {
-    const uint32_t sum = SatAdd32(a[i], b[i]);
-    if (sum < out) out = sum;
-  }
-  return out;
-}
-
-inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
-                              size_t len) {
-  const size_t padded = PaddedLength(len);
-  uint32x4_t best = vdupq_n_u32(UINT32_MAX);
-  for (size_t i = 0; i < padded; i += 4) {
-    best = vminq_u32(best, vqaddq_u32(vld1q_u32(a + i), vld1q_u32(b + i)));
-  }
+  if (len < 4) return MinPlusScalar(a, b, len);
+  // vqaddq_u32 is the native unsigned saturating sum.
+  const auto sum_at = [a, b](size_t i) {
+    return vqaddq_u32(vld1q_u32(a + i), vld1q_u32(b + i));
+  };
+  // As on AVX2: the vector ending at len, then whole vectors from 0.
+  uint32x4_t best = sum_at(len - 4);
+  for (size_t i = 0; i + 4 < len; i += 4) best = vminq_u32(best, sum_at(i));
   return vminvq_u32(best);
 }
 
 #else
 
 inline uint32_t MinPlus(const uint32_t* a, const uint32_t* b, size_t len) {
-  return MinPlusScalar(a, b, len);
-}
-
-inline uint32_t MinPlusPadded(const uint32_t* a, const uint32_t* b,
-                              size_t len) {
   return MinPlusScalar(a, b, len);
 }
 

@@ -526,7 +526,7 @@ Dist DirectedHc2lIndex::CoreQuery(Vertex s, Vertex t) const {
                                 in_labels_.level_len[t_idx]);
   simd::PrefetchArray(a, len * sizeof(uint32_t));
   simd::PrefetchArray(b, len * sizeof(uint32_t));
-  const uint32_t best = simd::MinPlusPadded(a, b, len);
+  const uint32_t best = simd::MinPlus(a, b, len);
   return best >= kUnreachableLabel ? kInfDist : best;
 }
 

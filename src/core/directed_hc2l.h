@@ -145,14 +145,14 @@ class DirectedHc2lIndex {
 
   const BalancedTreeHierarchy& Hierarchy() const { return hierarchy_; }
 
-  /// Total stored distance entries (both directions, padding excluded).
+  /// Total stored distance entries (both directions).
   size_t NumEntries() const;
 
   /// Logical label size in bytes (distance data + per-level offsets, both
   /// directions) — same definition as the undirected Hc2lStats::label_bytes.
   size_t LabelLogicalBytes() const;
 
-  /// Resident label storage in bytes (aligned arenas + offset tables).
+  /// Resident label storage in bytes (packed arenas + offset tables).
   size_t LabelSizeBytes() const;
 
   /// Serializes the index (hierarchy, contraction, both label stores and,
@@ -209,7 +209,7 @@ class DirectedHc2lIndex {
   // Cached hierarchy height: BatchQueryResolved's level bucketing must not
   // rescan every tree node per call.
   uint32_t height_ = 0;
-  // Per-direction cache-aligned labels, same layout as the undirected index
+  // Per-direction packed labels, same layout as the undirected index
   // (see LabelStore): out = d(v -> hub), in = d(hub -> v). Indexed by core
   // ids.
   LabelStore out_labels_;

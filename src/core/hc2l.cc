@@ -494,12 +494,11 @@ Dist Hc2lIndex::CoreQuery(Vertex s, Vertex t, uint64_t* hubs_scanned) const {
   const uint32_t* b = labels_.arena.data() + labels_.level_start[t_idx];
   const uint32_t len = std::min(labels_.level_len[s_idx],
                                 labels_.level_len[t_idx]);
-  // Both operand arrays are cache-line aligned; hint their first lines while
-  // the remaining scalar setup retires.
+  // Hint the operands' first lines while the remaining scalar setup retires.
   simd::PrefetchArray(a, len * sizeof(uint32_t));
   simd::PrefetchArray(b, len * sizeof(uint32_t));
   if (hubs_scanned != nullptr) *hubs_scanned += len;
-  const uint32_t best = simd::MinPlusPadded(a, b, len);
+  const uint32_t best = simd::MinPlus(a, b, len);
   return best >= kUnreachableLabel ? kInfDist : best;
 }
 
@@ -921,7 +920,7 @@ Status Hc2lIndex::RelabelWalk(const Graph& core, bool scoped,
         "the 32-bit label encoding; refusing to produce wrapped labels");
   }
 
-  // Re-flatten into a fresh aligned arena.
+  // Re-flatten into a fresh packed arena.
   uint64_t total_entries = 0;
   for (size_t v = 0; v < n; ++v) total_entries += label_data[v].size();
   labels_.BuildFrom(&label_data, &label_lens);

@@ -85,7 +85,7 @@ struct RepairStats {
 /// Build() constructs the balanced tree hierarchy (recursive balanced vertex
 /// cuts + distance-preserving shortcuts), then the tail-pruned labelling.
 /// Query() finds the level of LCA(s, t) with one XOR + clz over packed tree
-/// codes and min-reduces the two aligned distance arrays of that level
+/// codes and min-reduces the two distance arrays of that level
 /// (Eq. 7). With options.num_threads > 1 this is the paper's HC2L_p; the
 /// resulting index is bit-identical to the single-threaded one.
 class Hc2lIndex {
@@ -190,9 +190,9 @@ class Hc2lIndex {
   /// The balanced tree hierarchy (over the core graph).
   const BalancedTreeHierarchy& Hierarchy() const { return hierarchy_; }
 
-  /// Resident label storage in bytes: the cache-aligned arena (including its
-  /// sentinel padding) plus offset tables; excludes LCA codes. The logical
-  /// (unpadded) size is Stats().label_bytes.
+  /// Resident label storage in bytes: the packed arena (its total rounded up
+  /// to a cache line) plus offset tables; excludes LCA codes. The logical
+  /// size is Stats().label_bytes.
   size_t LabelSizeBytes() const;
 
   /// Bytes needed for O(1) LCA lookups (Table 3's "LCA Storage").
@@ -339,7 +339,7 @@ class Hc2lIndex {
   /// (then core ids == original ids).
   std::unique_ptr<DegreeOneContraction> contraction_;
   BalancedTreeHierarchy hierarchy_;
-  /// Cache-aligned flattened labels: vertex v's level-k distance array starts
+  /// Packed flattened labels: vertex v's level-k distance array starts
   /// at labels_.arena[labels_.level_start[labels_.base[v] + k]] and holds
   /// labels_.level_len[labels_.base[v] + k] entries.
   LabelStore labels_;

@@ -210,7 +210,7 @@ inline void SweepPendingByLevel(const LabelStore& source_labels,
       const uint32_t t_idx = target_labels.base[cur.core] + level;
       const uint32_t* b = arena + target_labels.level_start[t_idx];
       const uint32_t len = std::min(len_a, target_labels.level_len[t_idx]);
-      const uint32_t best = simd::MinPlusPadded(a, b, len);
+      const uint32_t best = simd::MinPlus(a, b, len);
       out[cur.out_index] =
           best >= kUnreachableLabel ? kInfDist : cur.offset + best;
     }

@@ -182,6 +182,7 @@ struct Reactor::Impl {
     std::string leftover;
     bool evict = false;
     bool hit_cap = false;
+    bool finished = false;  // handed back by FinishConn; never touch again
   };
 
   /// The coalescing run shared by a group: combined pairwise ids plus one
@@ -319,6 +320,10 @@ struct Reactor::Impl {
         if (run->HasConn(group_idx)) FlushRun(run, ParentGroup());
         c->handler.ExecuteParsed(*snap.router, *snap.threaded, &g->pending);
         ++c->served;
+      } else if (action == RequestHandler::LineAction::kBlocking) {
+        ReleaseGroup(run, group_idx);
+        c->handler.ExecuteParsed(*snap.router, *snap.threaded, &g->pending);
+        ++c->served;
       } else if (!scratch.empty()) {
         if (run->HasConn(group_idx)) FlushRun(run, ParentGroup());
         g->pending.append(scratch);
@@ -335,6 +340,31 @@ struct Reactor::Impl {
     g->leftover.assign(view.substr(consumed));
   }
 
+  /// Runs before group member `self` blocks this worker in a reload or
+  /// update_weights (an index open or a whole label repair): answers every
+  /// staged request, finishes the other members so their responses go out
+  /// and they can be rescheduled to another worker, and hands `self`'s
+  /// responses so far to its socket. Nothing in the group then waits
+  /// behind the blocking op.
+  void ReleaseGroup(Run* run, size_t self) {
+    std::vector<GroupConn>& group = *ParentGroup();
+    FlushRun(run, &group);
+    for (size_t gi = 0; gi < group.size(); ++gi) {
+      GroupConn& g = group[gi];
+      if (gi != self) {
+        if (!g.finished) FinishConn(&g);
+        continue;
+      }
+      if (g.pending.empty()) continue;
+      {
+        std::lock_guard<std::mutex> lock(g.c->mu);
+        if (!g.c->dead) g.c->outbuf.append(g.pending);
+      }
+      g.pending.clear();
+      SignalWake(g.c);
+    }
+  }
+
   // ProcessConn needs the enclosing group to flush a run mid-connection;
   // the group lives on the worker's stack, so thread it through a
   // thread-local (one group per worker at a time).
@@ -345,6 +375,7 @@ struct Reactor::Impl {
   /// connection mutex, applies the line cap, reschedules if more input
   /// arrived meanwhile, and wakes the event thread.
   void FinishConn(GroupConn* g) {
+    g->finished = true;
     Conn* c = g->c;
     bool repush = false;
     {
@@ -410,7 +441,7 @@ struct Reactor::Impl {
       group.clear();
       run.Clear();
       tls_group = &group;
-      group.push_back(GroupConn{first});
+      group.emplace_back().c = first;
       ProcessConn(&group[0], &run, 0, coalesce ? &policy : nullptr);
       // Pull a few more ready connections into the batch while staged
       // requests wait: this is the cross-connection coalescing window.
@@ -422,11 +453,13 @@ struct Reactor::Impl {
           extra = ready.front();
           ready.pop_front();
         }
-        group.push_back(GroupConn{extra});
+        group.emplace_back().c = extra;
         ProcessConn(&group.back(), &run, group.size() - 1, &policy);
       }
       FlushRun(&run, &group);
-      for (GroupConn& g : group) FinishConn(&g);
+      for (GroupConn& g : group) {
+        if (!g.finished) FinishConn(&g);
+      }
       tls_group = nullptr;
     }
   }

@@ -470,11 +470,12 @@ void RequestHandler::AppendErrorResponse(const Status& status,
 void RequestHandler::HandleLine(std::string_view line, const Router& router,
                                 const ThreadedRouter& threaded,
                                 std::string* out) {
-  // With no coalescing policy Prepare never stages; a kExecute line is
-  // finished immediately — together exactly the old one-shot behavior.
+  // With no coalescing policy Prepare never stages; a kExecute or kBlocking
+  // line is finished immediately — together exactly the old one-shot
+  // behavior.
   if (Prepare(line, router, threaded, /*coalesce=*/nullptr,
               /*sources=*/nullptr, /*targets=*/nullptr, /*plan=*/nullptr,
-              out) == LineAction::kExecute) {
+              out) != LineAction::kDone) {
     ExecuteParsed(router, threaded, out);
   }
 }
@@ -502,26 +503,18 @@ RequestHandler::LineAction RequestHandler::Prepare(
     out->append("{\"ok\":true,\"op\":\"ping\"}\n");
     return LineAction::kDone;
   }
+  // reload and update_weights are validated here and run by ExecuteParsed:
+  // they block the calling thread for a whole index open or repair, and the
+  // reactor releases the other work it holds first.
   if (req_.op == "reload") {
     if (!hooks_.reload) {
       AppendErrorResponse(
           Status::Unimplemented("this endpoint has no reload hook"), out);
       return LineAction::kDone;
     }
-    uint64_t epoch = 0;
-    if (Status st = hooks_.reload(req_.path, &epoch); !st.ok()) {
-      AppendErrorResponse(st, out);
-      return LineAction::kDone;
-    }
-    out->append("{\"ok\":true,\"op\":\"reload\",\"epoch\":");
-    AppendUint(out, epoch);
-    out->append("}\n");
-    return LineAction::kDone;
+    return LineAction::kBlocking;
   }
   if (req_.op == "update_weights") {
-    // Admission-exempt like reload: the operator's weight refresh must keep
-    // working on a server that is shedding query load (the swap itself is
-    // serialized against reloads behind the server's reload mutex).
     if (!hooks_.update_weights) {
       AppendErrorResponse(
           Status::Unimplemented("this endpoint has no update_weights hook"),
@@ -536,15 +529,7 @@ RequestHandler::LineAction RequestHandler::Prepare(
           out);
       return LineAction::kDone;
     }
-    uint64_t epoch = 0;
-    if (Status st = hooks_.update_weights(req_.edges, &epoch); !st.ok()) {
-      AppendErrorResponse(st, out);
-      return LineAction::kDone;
-    }
-    out->append("{\"ok\":true,\"op\":\"update_weights\",\"epoch\":");
-    AppendUint(out, epoch);
-    out->append("}\n");
-    return LineAction::kDone;
+    return LineAction::kBlocking;
   }
   if (req_.op == "info") {
     const IndexInfo info = router.Info();
@@ -693,6 +678,26 @@ RequestHandler::LineAction RequestHandler::Prepare(
 void RequestHandler::ExecuteParsed(const Router& router,
                                    const ThreadedRouter& threaded,
                                    std::string* out) {
+  // The operator's reload and weight refresh bypass admission control
+  // deliberately: they must keep working on a server that is shedding query
+  // load (an update's swap is serialized against reloads behind the
+  // server's reload mutex).
+  if (req_.op == "reload" || req_.op == "update_weights") {
+    const bool reload = req_.op == "reload";
+    uint64_t epoch = 0;
+    const Status st = reload ? hooks_.reload(req_.path, &epoch)
+                             : hooks_.update_weights(req_.edges, &epoch);
+    if (!st.ok()) {
+      AppendErrorResponse(st, out);
+      return;
+    }
+    out->append("{\"ok\":true,\"op\":\"");
+    out->append(req_.op);
+    out->append("\",\"epoch\":");
+    AppendUint(out, epoch);
+    out->append("}\n");
+    return;
+  }
   QueryRequest request;
   request.kind = kind_;
   request.sources = req_.sources;

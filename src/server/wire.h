@@ -240,12 +240,17 @@ class RequestHandler {
   ///              custom options, too many pairs). Parsed state is held in
   ///              the handler; the caller finishes it with ExecuteParsed()
   ///              against the snapshot of its choosing.
+  ///  - kBlocking: a validated "reload" or "update_weights", held like
+  ///              kExecute. ExecuteParsed() runs its hook, which blocks the
+  ///              calling thread for a whole index open or label repair, so
+  ///              the caller should first answer and release any other
+  ///              requests it holds.
   ///
   /// Coalescing only stages requests whose answers cannot depend on
   /// batching: default options (no deadline, no thread override, missing
   /// policy checked), all ids in range, <= coalesce->max_pairs_per_request
   /// pairs. `coalesce == nullptr` disables staging (kStaged never returned).
-  enum class LineAction { kDone, kStaged, kExecute };
+  enum class LineAction { kDone, kStaged, kExecute, kBlocking };
   struct StagePlan {
     bool is_batch = false;  // response says "op":"batch" vs "op":"point"
     size_t first = 0;       // slice of the caller's staged pair arrays
@@ -260,8 +265,9 @@ class RequestHandler {
                      std::vector<Vertex>* sources,
                      std::vector<Vertex>* targets, StagePlan* plan,
                      std::string* out);
-  /// Executes the request parsed by the last kExecute Prepare(). Exactly the
-  /// tail of HandleLine: admission, engine call, response serialization.
+  /// Executes the request parsed by the last kExecute or kBlocking
+  /// Prepare(). Exactly the tail of HandleLine: admission, engine call,
+  /// response serialization (or the admin hook, which skips admission).
   void ExecuteParsed(const Router& router, const ThreadedRouter& threaded,
                      std::string* out);
   /// Serializes the response line for one staged request from its slice of

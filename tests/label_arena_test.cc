@@ -28,7 +28,7 @@ TEST(LabelArena, EmptyResetHasNoStorage) {
   EXPECT_EQ(arena.size(), 0u);
 }
 
-TEST(LabelStore, EveryArrayStartsCacheLineAligned) {
+TEST(LabelStore, ArraysArePackedBackToBack) {
   // Three vertices with level arrays of awkward lengths (including empty).
   std::vector<std::vector<uint32_t>> data = {
       {1, 2, 3, 4, 5},     // v0: arrays [1,2,3] and [4,5]
@@ -46,24 +46,33 @@ TEST(LabelStore, EveryArrayStartsCacheLineAligned) {
   EXPECT_EQ(store.base[3], 4u);
   ASSERT_EQ(store.level_start.size(), 4u);
   ASSERT_EQ(store.level_len.size(), 4u);
-  for (size_t i = 0; i < store.level_start.size(); ++i) {
-    EXPECT_EQ(store.level_start[i] % LabelArena::kAlignEntries, 0u)
-        << "array " << i;
-  }
   EXPECT_EQ(store.level_len[0], 3u);
   EXPECT_EQ(store.level_len[1], 2u);
   EXPECT_EQ(store.level_len[2], 0u);
   EXPECT_EQ(store.level_len[3], 17u);
+  // Each array starts exactly where the previous one ends.
+  EXPECT_EQ(store.level_start[0], 0u);
+  for (size_t i = 0; i + 1 < store.level_start.size(); ++i) {
+    EXPECT_EQ(store.level_start[i + 1],
+              store.level_start[i] + store.level_len[i])
+        << "array " << i;
+  }
 
-  // Contents landed at the aligned starts; padding kept its sentinel fill.
+  // The 22 entries fill the arena from its start with no gaps; only the
+  // arena's total is rounded up to whole cache lines (22 -> 32 entries),
+  // and that tail keeps its sentinel fill.
   const uint32_t* arena = store.arena.data();
-  EXPECT_EQ(arena[store.level_start[0]], 1u);
-  EXPECT_EQ(arena[store.level_start[0] + 2], 3u);
-  EXPECT_EQ(arena[store.level_start[0] + 3], kSentinel);  // padding
-  EXPECT_EQ(arena[store.level_start[1]], 4u);
-  EXPECT_EQ(arena[store.level_start[3]], 7u);
-  EXPECT_EQ(arena[store.level_start[3] + 16], 23u);
-  EXPECT_EQ(arena[store.level_start[3] + 17], kSentinel);  // padding
+  const std::vector<uint32_t> packed = {1,  2,  3,  4,  5,  7,  8,  9,
+                                        10, 11, 12, 13, 14, 15, 16, 17,
+                                        18, 19, 20, 21, 22, 23};
+  ASSERT_EQ(store.arena.size(), 32u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(arena) % LabelArena::kAlignBytes, 0u);
+  for (size_t i = 0; i < packed.size(); ++i) {
+    EXPECT_EQ(arena[i], packed[i]) << "entry " << i;
+  }
+  for (size_t i = packed.size(); i < store.arena.size(); ++i) {
+    EXPECT_EQ(arena[i], kSentinel) << "entry " << i;
+  }
 
   // Accumulators were consumed.
   EXPECT_TRUE(data[0].empty());
@@ -80,9 +89,10 @@ TEST(LabelStore, ValidateAcceptsBuiltStoresAndRejectsCorruptTables) {
   };
   const LabelStore built = make_store();
   EXPECT_TRUE(io::ValidateLabelShape(built, built.arena.size()));
-  // The same tables against an arena one cache line too short.
-  EXPECT_FALSE(io::ValidateLabelShape(
-      built, built.arena.size() - LabelArena::kAlignEntries));
+  // The packed arrays hold 7 entries: an arena of exactly 7 suffices, one
+  // entry fewer is an overrun by one entry.
+  EXPECT_TRUE(io::ValidateLabelShape(built, 7));
+  EXPECT_FALSE(io::ValidateLabelShape(built, 6));
 
   {
     LabelStore s = make_store();  // array pushed past the arena
@@ -91,8 +101,15 @@ TEST(LabelStore, ValidateAcceptsBuiltStoresAndRejectsCorruptTables) {
     EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
-    LabelStore s = make_store();  // unaligned start
-    s.level_start.Set(1, s.level_start[1] + 1);
+    LabelStore s = make_store();  // last array one entry past the arena
+    const size_t last = s.level_len.size() - 1;
+    s.level_len.Set(last, static_cast<uint32_t>(s.arena.size() -
+                                                s.level_start[last] + 1));
+    EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
+  }
+  {
+    LabelStore s = make_store();  // overlapping arrays: [2, 4) and [0, 3)
+    s.level_start.Set(1, s.level_start[0] + s.level_len[0] - 1);
     EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
   {
@@ -105,6 +122,16 @@ TEST(LabelStore, ValidateAcceptsBuiltStoresAndRejectsCorruptTables) {
     s.base.Set(1, s.base[2] + 1);
     EXPECT_FALSE(io::ValidateLabelShape(s, s.arena.size()));
   }
+  {
+    // Arrays padded to whole cache lines, as older builds laid them out:
+    // in order and disjoint, so still accepted.
+    LabelStore s;
+    s.arena.Reset(3 * LabelArena::kAlignEntries);
+    for (const uint32_t v : {0u, 2u, 3u, 4u}) s.base.push_back(v);
+    for (const uint32_t v : {0u, 16u, 32u, 32u}) s.level_start.push_back(v);
+    for (const uint32_t v : {3u, 2u, 0u, 16u}) s.level_len.push_back(v);
+    EXPECT_TRUE(io::ValidateLabelShape(s, s.arena.size()));
+  }
 }
 
 TEST(LabelStore, ResidentBytesCountArenaAndTables) {
@@ -112,8 +139,8 @@ TEST(LabelStore, ResidentBytesCountArenaAndTables) {
   std::vector<std::vector<uint32_t>> lens = {{2}};
   LabelStore store;
   store.BuildFrom(&data, &lens);
-  // One 2-entry array pads to one cache line; tables: 1 start + 1 len +
-  // 2 base entries.
+  // One 2-entry array: the arena rounds up to one cache line; tables:
+  // 1 start + 1 len + 2 base entries.
   EXPECT_EQ(store.arena.SizeBytes(), 64u);
   EXPECT_EQ(store.MetadataBytes(), 4 * sizeof(uint32_t));
   EXPECT_EQ(store.ResidentBytes(), 64u + 4 * sizeof(uint32_t));

@@ -11,13 +11,19 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -26,6 +32,7 @@
 
 #include "hc2l/hc2l.h"
 #include "hc2l/server.h"
+#include "server/reactor.h"
 #include "server/wire.h"
 
 namespace hc2l {
@@ -573,6 +580,15 @@ class TestClient {
 
   bool connected() const { return connected_; }
 
+  /// Bounds each blocking recv: ReadLine then gives up after `ms` of silence
+  /// (returning "<connection closed>") instead of hanging the test.
+  void SetRecvTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
   void Send(std::string_view bytes) {
     size_t sent = 0;
     while (sent < bytes.size()) {
@@ -1003,6 +1019,113 @@ TEST_F(WireTest, PreparedStagedResponsesMatchHandleLineByteForByte) {
     EXPECT_EQ(staged, Handle(kLines[i])) << kLines[i];
     staging.ReleaseStaged();
   }
+}
+
+TEST_F(WireTest, ReactorAnswersOtherConnectionsWhileUpdateWeightsBlocks) {
+  // update_weights hook call k blocks until the test has released k calls.
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;   // guarded by mu
+  int released = 0;  // guarded by mu
+  const auto wait_entered = [&](int calls) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return entered >= calls; });
+  };
+  const auto release = [&](int calls) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = calls;
+    }
+    cv.notify_all();
+  };
+
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;  // ephemeral
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 16), 0);
+  socklen_t addr_len = sizeof(addr);
+  ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+  const uint16_t port = ntohs(addr.sin_port);
+
+  std::atomic<uint64_t> accepted{0}, shed{0}, live{0};
+  ReactorEnv env;
+  env.options.reactor_threads = 1;  // one worker: the blocked one
+  env.snapshot = [this] {
+    return ServingSnapshot{nullptr, router_.get(), threaded_.get()};
+  };
+  env.hooks = [&] {
+    ServerHooks hooks;
+    hooks.update_weights = [&](std::span<const EdgeDelta>, uint64_t* epoch) {
+      std::unique_lock<std::mutex> lock(mu);
+      const int call = ++entered;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released >= call; });
+      *epoch = static_cast<uint64_t>(call);
+      return Status::Ok();
+    };
+    return hooks;
+  };
+  env.accepted = &accepted;
+  env.connections_shed = &shed;
+  env.live_connections = &live;
+  Reactor reactor(listen_fd, std::move(env));
+  ASSERT_TRUE(reactor.Start().ok());
+  // Destroyed before the reactor: no worker stays parked in the hook.
+  struct ReleaseAll {
+    std::function<void()> fn;
+    ~ReleaseAll() { fn(); }
+  } release_all{[&] { release(1 << 30); }};
+
+  const std::string update = R"({"op":"update_weights","edges":[[0,1,7]]})"
+                             "\n";
+  TestClient first(port), reader(port), writer(port);
+  ASSERT_TRUE(first.connected() && reader.connected() && writer.connected());
+  reader.SetRecvTimeout(5000);
+
+  // Park the only worker in a first update so that the reader's points and
+  // the writer's update queue up behind it, in that order; on release the
+  // worker stages the points and pulls the writer into the same coalescing
+  // group, whose update then blocks again.
+  first.Send(update);
+  ASSERT_TRUE(wait_entered(1));
+  std::string points;
+  std::vector<std::string> expected;
+  for (Vertex t = 1; t <= 8; ++t) {
+    points += R"({"op":"point","sources":[0],"targets":[)" +
+              std::to_string(t) + "]}\n";
+    expected.push_back(R"({"ok":true,"op":"point","distances":[)" +
+                       std::to_string(*router_->Distance(0, t)) + "]}");
+  }
+  reader.Send(points);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  writer.Send(update);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  release(1);
+  ASSERT_TRUE(wait_entered(2));
+
+  // The second update is still blocked: the reader's answers must not wait
+  // for it.
+  for (const std::string& want : expected) {
+    ASSERT_EQ(reader.ReadLine(), want);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(released, 1);
+  }
+  release(2);
+  EXPECT_EQ(first.ReadLine(),
+            R"({"ok":true,"op":"update_weights","epoch":1})");
+  EXPECT_EQ(writer.ReadLine(),
+            R"({"ok":true,"op":"update_weights","epoch":2})");
+  reactor.Stop();
+  ::close(listen_fd);
 }
 
 TEST_F(WireTest, IneligibleLinesAreNotStaged) {

@@ -1,17 +1,21 @@
 // Differential tests: the compiled-in vector min-plus kernel against the
 // scalar reference, over randomized and adversarial label arrays. The two
 // must be bit-identical for every input, including sentinel entries,
-// near-overflow sums, tiny lengths and non-multiple-of-8 tails.
+// near-overflow sums, tiny lengths and non-multiple-of-8 tails; and the
+// kernel must read nothing outside [0, len), which the packed label arena
+// relies on.
 
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/label_arena.h"
 #include "common/rng.h"
 
 namespace hc2l {
@@ -51,7 +55,6 @@ TEST(SatAdd32, SaturatesInsteadOfWrapping) {
 
 TEST(MinPlus, EmptyArraysReturnSentinel) {
   EXPECT_EQ(simd::MinPlus(nullptr, nullptr, 0), kSentinel);
-  EXPECT_EQ(simd::MinPlusPadded(nullptr, nullptr, 0), kSentinel);
   EXPECT_EQ(simd::MinPlusScalar(nullptr, nullptr, 0), kSentinel);
 }
 
@@ -84,37 +87,83 @@ TEST(MinPlus, MatchesScalarOnRandomArrays) {
   }
 }
 
-TEST(MinPlusPadded, MatchesScalarOnSentinelPaddedArrays) {
+/// One page of the test's own mapping with a PROT_NONE page on each side:
+/// an array placed flush against either end faults on any read outside it.
+class GuardedPage {
+ public:
+  GuardedPage() : page_(static_cast<size_t>(::sysconf(_SC_PAGESIZE))) {
+    void* p = ::mmap(nullptr, 3 * page_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) return;
+    base_ = static_cast<char*>(p);
+    if (::mprotect(base_, page_, PROT_NONE) != 0 ||
+        ::mprotect(base_ + 2 * page_, page_, PROT_NONE) != 0) {
+      ::munmap(base_, 3 * page_);
+      base_ = nullptr;
+    }
+  }
+  ~GuardedPage() {
+    if (base_ != nullptr) ::munmap(base_, 3 * page_);
+  }
+  GuardedPage(const GuardedPage&) = delete;
+  GuardedPage& operator=(const GuardedPage&) = delete;
+
+  bool ok() const { return base_ != nullptr; }
+  /// `len` entries ending where the trailing guard page begins.
+  uint32_t* EndingAtGuard(size_t len) const {
+    return reinterpret_cast<uint32_t*>(base_ + 2 * page_) - len;
+  }
+  /// Entries starting where the leading guard page ends.
+  uint32_t* StartingAtGuard() const {
+    return reinterpret_cast<uint32_t*>(base_ + page_);
+  }
+
+ private:
+  size_t page_;
+  char* base_ = nullptr;
+};
+
+TEST(MinPlus, ReadsNothingOutsideTheArray) {
+  GuardedPage page_a, page_b;
+  ASSERT_TRUE(page_a.ok() && page_b.ok());
   Rng rng(42);
-  for (size_t len = 0; len <= 67; ++len) {
-    const size_t padded = simd::PaddedLength(len);
+  // Three vectors of the widest (8-lane AVX2) kernel cover every masked,
+  // whole-vector and overlapping-tail split of every backend.
+  constexpr size_t kMaxLen = 3 * 8;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
     for (int rep = 0; rep < 50; ++rep) {
-      // Arena invariant: capacity sentinel-filled beyond the true length.
-      std::vector<uint32_t> a(padded, kSentinel), b(padded, kSentinel);
-      for (size_t i = 0; i < len; ++i) {
-        a[i] = AdversarialValue(rng);
-        b[i] = AdversarialValue(rng);
+      for (const bool at_end : {true, false}) {
+        uint32_t* a =
+            at_end ? page_a.EndingAtGuard(len) : page_a.StartingAtGuard();
+        uint32_t* b =
+            at_end ? page_b.EndingAtGuard(len) : page_b.StartingAtGuard();
+        for (size_t i = 0; i < len; ++i) {
+          a[i] = AdversarialValue(rng);
+          b[i] = AdversarialValue(rng);
+        }
+        // A read outside [0, len) hits a guard page and kills the test.
+        ASSERT_EQ(simd::MinPlus(a, b, len), simd::MinPlusScalar(a, b, len))
+            << "len=" << len << " rep=" << rep << " at_end=" << at_end;
       }
-      ASSERT_EQ(simd::MinPlusPadded(a.data(), b.data(), len),
-                simd::MinPlusScalar(a.data(), b.data(), len))
-          << "len=" << len << " rep=" << rep;
     }
   }
 }
 
-TEST(MinPlusPadded, MismatchedTrueLengthsUseSentinelPadding) {
-  // The query reduces over min(len_a, len_b); entries of the longer array
-  // beyond that meet sentinel padding of the shorter one and must saturate
-  // away. Simulate two arena arrays of different true lengths.
+TEST(MinPlus, MismatchedTrueLengthsReadOnlyTheShorter) {
+  // The query reduces over min(len_a, len_b). In a packed arena the next
+  // array follows the shorter one directly: here its zeros would pair
+  // with a[5..] for sums of 1005+, below the true minimum of 1500, if the
+  // kernel read past len.
   const size_t len_a = 21, len_b = 5;
-  const size_t cap = LabelArena::PaddedCapacity(len_a);
-  std::vector<uint32_t> a(cap, kSentinel), b(cap, kSentinel);
+  std::vector<uint32_t> a(len_a), arena(len_b + 16, 0);
   for (size_t i = 0; i < len_a; ++i) a[i] = 1000 + static_cast<uint32_t>(i);
-  for (size_t i = 0; i < len_b; ++i) b[i] = 7 * static_cast<uint32_t>(i);
+  for (size_t i = 0; i < len_b; ++i) {
+    arena[i] = 500 + 7 * static_cast<uint32_t>(i);
+  }
   const size_t len = std::min(len_a, len_b);
-  EXPECT_EQ(simd::MinPlusPadded(a.data(), b.data(), len),
-            simd::MinPlusScalar(a.data(), b.data(), len));
-  EXPECT_EQ(simd::MinPlusPadded(a.data(), b.data(), len), 1000u);
+  EXPECT_EQ(simd::MinPlus(a.data(), arena.data(), len),
+            simd::MinPlusScalar(a.data(), arena.data(), len));
+  EXPECT_EQ(simd::MinPlus(a.data(), arena.data(), len), 1500u);
 }
 
 TEST(MinPlus, NearOverflowSumsDoNotWrapPastSentinel) {
@@ -126,17 +175,6 @@ TEST(MinPlus, NearOverflowSumsDoNotWrapPastSentinel) {
     const uint32_t got = simd::MinPlus(a.data(), b.data(), len);
     ASSERT_EQ(got, simd::MinPlusScalar(a.data(), b.data(), len));
     ASSERT_EQ(got, kSentinel);  // every pair here saturates
-  }
-}
-
-TEST(PaddedLength, RoundsToVectorMultiple) {
-  EXPECT_EQ(simd::PaddedLength(0), 0u);
-  EXPECT_EQ(simd::PaddedLength(1), simd::kPadLanes);
-  EXPECT_EQ(simd::PaddedLength(simd::kPadLanes), simd::kPadLanes);
-  EXPECT_EQ(simd::PaddedLength(simd::kPadLanes + 1), 2 * simd::kPadLanes);
-  // The arena pads at least as far as the kernel reads.
-  for (size_t len = 0; len < 100; ++len) {
-    EXPECT_GE(LabelArena::PaddedCapacity(len), simd::PaddedLength(len));
   }
 }
 

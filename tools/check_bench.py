@@ -10,9 +10,10 @@ regressions beyond a threshold (default 25%). Two tiers:
   the (CPU model, host name) pair also matches — they are not comparable
   across machines, and virtualized CPU strings alone don't identify one.
 
-Everything is skipped — with an explanation, exit 0 — when the two snapshots
+Everything else is skipped — with an explanation — when the two snapshots
 were produced by different SIMD kernels (e.g. a non-AVX2 CI runner measuring
-against an AVX2-recorded baseline).
+against an AVX2-recorded baseline). The label-layout gate (resident over
+logical label bytes) depends on neither CPU nor kernel and always runs.
 
 Usage:
   tools/check_bench.py --fresh build/BENCH_query.json \
@@ -48,6 +49,29 @@ def kernel_speedup(snapshot):
     if simd is None or scalar is None or simd <= 0:
         return None
     return scalar / simd
+
+
+# Ceiling on the primary dataset's resident-over-logical label bytes. The
+# arena packs label arrays back to back and rounds only its total up to a
+# cache line, so resident bytes exceed logical ones by under 64 bytes per
+# arena. A ratio above the ceiling means a per-array layout tax (such as
+# the old 64-byte padding of every array, 1.80x on grid48) came back.
+LABEL_RESIDENT_RATIO_CEILING = 1.05
+# Slack on "no growth against the committed ratio": a change to the label
+# entry count moves the rounded arena tail by a few 1e-5, not by this much.
+LABEL_RESIDENT_RATIO_SLACK = 0.001
+
+
+def label_resident_ratio(snapshot):
+    """label_bytes_resident / label_bytes_logical; None if either missing.
+
+    Builds are deterministic, so the ratio is CPU- and kernel-independent.
+    """
+    resident = lookup(snapshot, ("label_bytes_resident",))
+    logical = lookup(snapshot, ("label_bytes_logical",))
+    if resident is None or logical is None or logical <= 0:
+        return None
+    return resident / logical
 
 
 def directed_entry_ratio(snapshot):
@@ -146,14 +170,38 @@ def main():
         print(f"check_bench: cannot load snapshots ({e}); failing")
         return 1
 
+    failures = []
+
+    # Label-layout gate, active on every runner and kernel: the resident
+    # arena must stay within LABEL_RESIDENT_RATIO_CEILING of the logical
+    # label bytes and must not grow against the committed ratio.
+    fresh_layout = label_resident_ratio(fresh)
+    committed_layout = label_resident_ratio(committed)
+    if fresh_layout is None or committed_layout is None:
+        print("check_bench: label resident/logical bytes: missing in a "
+              "snapshot, skipped")
+    else:
+        verdict = "OK"
+        if fresh_layout > LABEL_RESIDENT_RATIO_CEILING:
+            verdict = f"ABOVE CEILING ({LABEL_RESIDENT_RATIO_CEILING:.2f}x)"
+        elif fresh_layout > committed_layout + LABEL_RESIDENT_RATIO_SLACK:
+            verdict = "GREW"
+        print(f"check_bench: label resident/logical bytes: "
+              f"committed={committed_layout:.4f}x "
+              f"fresh={fresh_layout:.4f}x {verdict}")
+        if verdict != "OK":
+            failures.append("label resident/logical bytes")
+
     fresh_kernel = fresh.get("kernel")
     committed_kernel = committed.get("kernel")
     if fresh_kernel != committed_kernel:
         print(f"check_bench: SKIP — kernel mismatch (fresh={fresh_kernel!r}, "
               f"committed={committed_kernel!r}); numbers not comparable on "
               f"this runner")
+        if failures:
+            print("check_bench: FAILED — " + ", ".join(failures))
+            return 1
         return 0
-    failures = []
 
     # CPU-independent gate, always active: the simd-vs-scalar kernel speedup
     # is dimensionless, so it survives runner changes. A kernel regression
